@@ -1,15 +1,11 @@
 // Block formation — TxPool intake to bounded consensus payloads.
 //
 // The block pipeline's first stage (DESIGN.md §10): clients submit token
-// operations into a TxPool; a BlockBuilder drains the pool into BOUNDED
-// blocks under a two-trigger cut rule
-//
-//   * size cut     — the pool reached BlockConfig::max_ops pending
-//                    operations (checked on every submit: cut_if_full),
-//   * deadline cut — a periodic tick fires regardless of fill (cut),
-//                    bounding the latency an op waits before it is
-//                    proposed; an empty pool yields NO block (deadline
-//                    ticks are free while the system idles).
+// operations into a TxPool, and the shared Cutter (exec/cutter.h) drains
+// the pool into BOUNDED blocks under the size/deadline cut rule — a full
+// pool cuts at once, a periodic deadline tick flushes a partial fill,
+// and an empty pool yields NO block (deadline ticks are free while the
+// system idles).
 //
 // A Block is then ONE consensus value: the total-order broadcast
 // (atbcast/total_order.h) decides it into a single slot, so the whole
@@ -27,22 +23,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "atomic/ledger.h"
-#include "exec/txpool.h"
 
 namespace tokensync {
 
 /// Block-formation knobs (plus the broadcast-side pipelining depth the
 /// block replica forwards to TotalOrderBcast).
 struct BlockConfig {
-  /// Size cut: a block never carries more than this many operations.
+  /// Size cut: a block never carries more than this many operations
+  /// (0 counts as 1, like every lane's cut).
   std::size_t max_ops = 8;
   /// Deadline cut period, in simulated time units — drivers schedule an
-  /// on_deadline() tick this often (the builder itself is tickless).
+  /// on_deadline() tick this often (the cutter itself is tickless).
   std::uint64_t deadline = 25;
   /// TotalOrderBcast pipelining window: how many cut blocks a replica
   /// keeps in flight at distinct consensus slots (total_order.h).
@@ -69,83 +63,6 @@ struct Block {
   }
 
   friend bool operator==(const Block&, const Block&) = default;
-};
-
-/// A cut block together with its ops' relay identities (pool intake
-/// order) — what the compact relay announces and proposes as
-/// {block_id, ids} instead of the full payload.
-template <ConcurrentTokenSpec S>
-struct TaggedBlock {
-  Block<S> block;
-  std::vector<OpId> ids;  ///< ids[i] identifies block.ops[i]
-};
-
-/// Drains a TxPool into blocks under the size/deadline cut rule.  The
-/// builder holds no operations of its own — the pool is the only buffer —
-/// so a cut is deterministic given the pool content (and thus given the
-/// event order of the deterministic SimNet run driving the submissions).
-template <ConcurrentTokenSpec S>
-class BlockBuilder {
- public:
-  BlockBuilder(TxPool<S>& pool, BlockConfig cfg) : pool_(pool), cfg_(cfg) {}
-
-  const BlockConfig& config() const noexcept { return cfg_; }
-
-  /// Size cut: yields a full block iff max_ops operations are pending
-  /// (call after each submit).  Never yields a partial block — partial
-  /// fills wait for the deadline.
-  std::optional<Block<S>> cut_if_full() {
-    auto t = cut_tagged_if_full();
-    if (!t) return std::nullopt;
-    return std::move(t->block);
-  }
-
-  /// Deadline cut: yields whatever is pending, up to max_ops; an empty
-  /// pool yields nothing (the empty-block case the tests pin down).
-  std::optional<Block<S>> cut() {
-    auto t = cut_tagged();
-    if (!t) return std::nullopt;
-    return std::move(t->block);
-  }
-
-  /// cut_if_full(), keeping the ops' relay identities.
-  std::optional<TaggedBlock<S>> cut_tagged_if_full() {
-    if (pool_.pending() < cfg_.max_ops) return std::nullopt;
-    return wrap(pool_.drain_tagged(cfg_.max_ops));
-  }
-
-  /// cut(), keeping the ops' relay identities.
-  std::optional<TaggedBlock<S>> cut_tagged() {
-    auto ops = pool_.drain_tagged(cfg_.max_ops);
-    if (ops.empty()) {
-      ++empty_cuts_;
-      return std::nullopt;
-    }
-    return wrap(std::move(ops));
-  }
-
-  std::size_t blocks_cut() const noexcept { return blocks_cut_; }
-  /// Deadline ticks that found an empty pool (no block produced).
-  std::size_t empty_cuts() const noexcept { return empty_cuts_; }
-
- private:
-  std::optional<TaggedBlock<S>> wrap(
-      std::vector<typename TxPool<S>::Tagged> tagged) {
-    ++blocks_cut_;
-    TaggedBlock<S> tb;
-    tb.block.ops.reserve(tagged.size());
-    tb.ids.reserve(tagged.size());
-    for (auto& t : tagged) {
-      tb.ids.push_back(t.id);
-      tb.block.ops.push_back(std::move(t.op));
-    }
-    return tb;
-  }
-
-  TxPool<S>& pool_;
-  BlockConfig cfg_;
-  std::size_t blocks_cut_ = 0;
-  std::size_t empty_cuts_ = 0;
 };
 
 }  // namespace tokensync

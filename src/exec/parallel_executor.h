@@ -12,15 +12,11 @@
 // state, whether threads = 1 or 8 — the determinism contract
 // tests/exec_test.cc asserts and the scenario audits re-check.
 //
-// Two wave-partitioning modes, both deterministic in OUTCOME:
-//   * static (default) — each worker takes a fixed contiguous chunk of
-//     the wave (after an optional per-wave stable sort by home shard, so
-//     a worker's chunk clusters on few locks).  The op→thread map is
-//     itself reproducible, which makes schedules debuggable;
-//   * dynamic — workers pull the next index from a shared atomic
-//     counter (better balance under skewed per-op cost).  The op→thread
-//     map varies run to run, but commutation makes the state/response
-//     outcome identical — asserted by the same tests.
+// Wave partitioning is static: each worker takes a fixed contiguous
+// chunk of the wave, so the op→thread map is itself reproducible, which
+// makes schedules debuggable.  Commutation would make any partition
+// yield the same outcome; one is kept because no workload needs
+// another.
 //
 // The executor amortizes nothing across batches and holds no state of
 // its own beyond the pool: determinism lives in the schedule, isolation
@@ -30,12 +26,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "atomic/ledger.h"
@@ -48,12 +41,6 @@ namespace tokensync {
 struct ExecOptions {
   /// Worker threads; 1 executes inline (no pool, no handshakes).
   std::size_t threads = 1;
-  /// Static chunking (true) vs dynamic work pulling (false); see file
-  /// comment.  Both yield the same final state and responses.
-  bool deterministic = true;
-  /// Stable-sort each wave by the primary account's home shard before
-  /// chunking, clustering each worker's locks (static mode only).
-  bool sort_waves_by_shard = false;
 };
 
 /// The outcome of one executed batch.
@@ -88,7 +75,7 @@ class ParallelExecutor {
     ExecReport rep;
     rep.schedule = ConflictPlanner<S>::plan(ledger_, batch);
     rep.responses.resize(batch.size());
-    for (std::vector<std::size_t>& wave : rep.schedule.grouped()) {
+    for (const std::vector<std::size_t>& wave : rep.schedule.grouped()) {
       run_wave(batch, wave, rep.responses);
     }
     return rep;
@@ -99,7 +86,7 @@ class ParallelExecutor {
   /// footprints are pairwise disjoint (or the wave is a singleton
   /// barrier), so any partition over threads commutes to one outcome.
   void run_wave(const std::vector<BatchOp>& batch,
-                std::vector<std::size_t>& wave,
+                const std::vector<std::size_t>& wave,
                 std::vector<Response>& out) {
     // Singleton waves — barriers (escalated / whole-state ops) and
     // trickles — run on the calling thread: the sequential lane.
@@ -109,54 +96,16 @@ class ParallelExecutor {
       }
       return;
     }
-    if (opts_.deterministic) {
-      if (opts_.sort_waves_by_shard) sort_by_home_shard(batch, wave);
-      // Fixed contiguous chunks: worker w applies wave[lo_w, hi_w).
-      const std::size_t per =
-          (wave.size() + opts_.threads - 1) / opts_.threads;
-      pool_->run([&](std::size_t w) {
-        const std::size_t lo = std::min(w * per, wave.size());
-        const std::size_t hi = std::min(lo + per, wave.size());
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t i = wave[k];
-          out[i] = ledger_.apply(batch[i].caller, batch[i].op);
-        }
-      });
-    } else {
-      // Dynamic pulling: balances skewed per-op cost; outcome unchanged
-      // by commutation.
-      std::atomic<std::size_t> next{0};
-      pool_->run([&](std::size_t /*w*/) {
-        for (;;) {
-          const std::size_t k =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= wave.size()) return;
-          const std::size_t i = wave[k];
-          out[i] = ledger_.apply(batch[i].caller, batch[i].op);
-        }
-      });
-    }
-  }
-
-  /// Per-wave sort by the footprint's first account's home shard, ties
-  /// broken by batch index — one footprint computation per op, and the
-  /// (shard, index) key makes the order total, so same-shard ops keep
-  /// submission order (deterministic).
-  void sort_by_home_shard(const std::vector<BatchOp>& batch,
-                          std::vector<std::size_t>& wave) {
-    std::vector<std::pair<std::uint32_t, std::size_t>> keys;
-    keys.reserve(wave.size());
-    for (const std::size_t i : wave) {
-      keys.emplace_back(home_shard(batch[i]), i);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t k = 0; k < wave.size(); ++k) wave[k] = keys[k].second;
-  }
-
-  std::uint32_t home_shard(const BatchOp& b) const {
-    Footprint fp;
-    ledger_.footprint_of(b.caller, b.op, fp);
-    return (fp.all || fp.n == 0) ? 0 : ledger_.shard_of(fp.ids[0]);
+    // Fixed contiguous chunks: worker w applies wave[lo_w, hi_w).
+    const std::size_t per = (wave.size() + opts_.threads - 1) / opts_.threads;
+    pool_->run([&](std::size_t w) {
+      const std::size_t lo = std::min(w * per, wave.size());
+      const std::size_t hi = std::min(lo + per, wave.size());
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::size_t i = wave[k];
+        out[i] = ledger_.apply(batch[i].caller, batch[i].op);
+      }
+    });
   }
 
   Ledger& ledger_;

@@ -4,8 +4,8 @@
 // The single-proposer block pipeline (exec/block.h) fuses two jobs into
 // one consensus value: DISSEMINATING a batch of operations and ORDERING
 // it.  The multi-proposer pipeline splits them.  Every replica cuts its
-// pooled intake into sub-blocks — origin-stamped, origin-sequenced runs
-// of TaggedOps — and publishes them to its peers immediately, on its own
+// pooled intake (the shared Cutter, exec/cutter.h) into sub-blocks —
+// origin-stamped, origin-sequenced runs of TaggedOps — and publishes them to its peers immediately, on its own
 // lane, concurrently with everyone else's.  Consensus then orders only
 // thin references:
 //
@@ -30,13 +30,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
-#include "atomic/ledger.h"
 #include "common/wire.h"
-#include "exec/txpool.h"
 
 namespace tokensync {
 
@@ -87,56 +83,6 @@ struct SubBlock {
   }
 
   friend bool operator==(const SubBlock&, const SubBlock&) = default;
-};
-
-/// Drains a TxPool into origin-sequenced sub-blocks under the same
-/// size/deadline cut rule as BlockBuilder (exec/block.h): a full pool
-/// cuts immediately, a deadline tick flushes any partial fill, an empty
-/// pool cuts nothing.  Holds no operations of its own — the pool is the
-/// only buffer — so cuts are deterministic given the pool content.
-template <ConcurrentTokenSpec S>
-class SubBlockBuilder {
- public:
-  using BatchOp = typename ConcurrentLedger<S>::BatchOp;
-  using Sub = SubBlock<BatchOp>;
-
-  SubBlockBuilder(TxPool<S>& pool, ProcessId origin, std::size_t max_ops)
-      : pool_(pool), origin_(origin),
-        max_ops_(max_ops == 0 ? 1 : max_ops) {}
-
-  std::size_t max_ops() const noexcept { return max_ops_; }
-
-  /// Size cut: yields a full sub-block iff max_ops operations are
-  /// pending (call after each submit); partial fills wait for the
-  /// deadline.
-  std::optional<Sub> cut_if_full() {
-    if (pool_.pending() < max_ops_) return std::nullopt;
-    return wrap(pool_.drain_tagged(max_ops_));
-  }
-
-  /// Deadline cut: yields whatever is pending, up to max_ops; an empty
-  /// pool yields nothing.
-  std::optional<Sub> cut() {
-    auto ops = pool_.drain_tagged(max_ops_);
-    if (ops.empty()) return std::nullopt;
-    return wrap(std::move(ops));
-  }
-
-  std::size_t subblocks_cut() const noexcept { return next_seq_ - 1; }
-
- private:
-  std::optional<Sub> wrap(std::vector<typename TxPool<S>::Tagged> tagged) {
-    Sub s;
-    s.origin = origin_;
-    s.sub_seq = next_seq_++;
-    s.ops = std::move(tagged);
-    return s;
-  }
-
-  TxPool<S>& pool_;
-  ProcessId origin_;
-  std::size_t max_ops_;
-  std::uint32_t next_seq_ = 1;
 };
 
 }  // namespace tokensync

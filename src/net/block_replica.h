@@ -4,11 +4,11 @@
 //
 // One replica =
 //
-//   TxPool  --cut-->  BlockBuilder  --propose-->  TotalOrderBcast
-//   (intake,          (size/deadline)             (one Paxos slot per
-//    OpId index)                                   BLOCK, not per op)
-//                                   --commit---->  reconstruct + replay
-//                                                  (ReplayEngine waves)
+//   TxPool  --cut-->  Cutter  --propose-->  TotalOrderBcast
+//   (intake,          (size/           (one Paxos slot per
+//    OpId index)       deadline)        BLOCK, not per op)
+//                             --commit---->  reconstruct + replay
+//                                            (ReplayEngine waves)
 //
 // Clients call submit(caller, op): the op enters the pool, and a full
 // pool cuts a block immediately (size cut).  The driver ticks
@@ -82,6 +82,7 @@
 #include "common/ids.h"
 #include "common/wire.h"
 #include "exec/block.h"
+#include "exec/cutter.h"
 #include "exec/replay_engine.h"
 #include "exec/snapshot.h"
 #include "exec/txpool.h"
@@ -156,7 +157,7 @@ class BlockReplicaNode {
       : net_(net), self_(self), relay_mode_(relay_mode), rcfg_(rcfg),
         eopts_(eopts),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
-        builder_(pool_, bcfg), mux_(net, self),
+        cutter_(pool_, bcfg.max_ops), mux_(net, self),
         tob_(mux_.lane_a(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                     const Value& v) { on_commit(slot, origin, nonce, v); },
@@ -210,7 +211,7 @@ class BlockReplicaNode {
   /// flushes a partial fill; a no-op on an empty pool (or mid-recovery).
   void on_deadline() {
     if (recovering_) return;
-    if (auto tb = builder_.cut_tagged()) propose(std::move(*tb));
+    propose(cutter_.cut());
   }
 
   /// Anti-entropy probe (TotalOrderBcast::sync).
@@ -245,7 +246,6 @@ class BlockReplicaNode {
   std::size_t blocks_submitted() const noexcept { return core_.submitted(); }
   std::size_t blocks_committed() const noexcept { return core_.log().size(); }
   std::size_t ops_committed() const noexcept { return engine_->ops_applied(); }
-  const BlockBuilder<S>& builder() const noexcept { return builder_; }
 
   // --- relay accounting / test hooks ---
 
@@ -302,12 +302,16 @@ class BlockReplicaNode {
  private:
   void maybe_cut() {
     if (recovering_) return;
-    if (auto tb = builder_.cut_tagged_if_full()) propose(std::move(*tb));
+    propose(cutter_.cut_if_full());
   }
 
-  void propose(TaggedBlock<S> tb) {
+  /// Wraps a cut into the block's consensus value and broadcasts it; an
+  /// empty run (nothing was cut) proposes nothing.
+  void propose(typename Cutter<S>::Run run) {
+    if (run.empty()) return;
     Value v;
-    v.ids = tb.ids;  // both modes: the applied-id filter's keys
+    v.ids.reserve(run.size());  // both modes: the applied-id filter's keys
+    for (const auto& t : run) v.ids.push_back(t.id);
     if (relay_mode_ == RelayMode::kCompact) {
       v.compact = true;
       // Block ids share the OpId hash but key a disjoint map (recovery
@@ -315,14 +319,10 @@ class BlockReplicaNode {
       // with an op id is harmless.
       v.block_id = make_op_id(self_, blocks_proposed_++);
       v.proposer = self_;
-      std::vector<TaggedOp<BatchOp>> tagged;
-      tagged.reserve(tb.ids.size());
-      for (std::size_t i = 0; i < tb.ids.size(); ++i) {
-        tagged.push_back(TaggedOp<BatchOp>{tb.ids[i], tb.block.ops[i]});
-      }
-      relay_.announce(tagged);
+      relay_.announce(run);
     } else {
-      v.full = std::move(tb.block);
+      v.full.ops.reserve(run.size());
+      for (auto& t : run) v.full.ops.push_back(std::move(t.op));
     }
     core_.note_submission();
     const std::uint64_t nonce = tob_.broadcast(std::move(v));
@@ -452,7 +452,7 @@ class BlockReplicaNode {
     recovery_.done();
     // Intake pooled during catch-up: cut it now if already a full block
     // (partial fills ride the next deadline tick).
-    if (auto tb = builder_.cut_tagged_if_full()) propose(std::move(*tb));
+    propose(cutter_.cut_if_full());
   }
 
   /// Rebuilds the committed block: trivial for full values; for compact
@@ -490,7 +490,7 @@ class BlockReplicaNode {
   ExecOptions eopts_;  // kept to rebuild the engine on snapshot install
   TxPool<S> pool_;
   std::unique_ptr<ReplayEngine<S>> engine_;
-  BlockBuilder<S> builder_;
+  Cutter<S> cutter_;
   Mux mux_;
   Tob tob_;
   Relay relay_;

@@ -28,7 +28,7 @@
 // applies — as ONE block through the ReplayEngine — the epoch
 //
 //   [ all delivered-but-unapplied fast ops with seq < F[origin],
-//     in canonical (origin, seq) order ]  ++  [ v's operation ]
+//     in canonical (origin, seq) order ]  ++  [ v's operations ]
 //
 // and appends the block's rendering as the slot's log entry.  Because F
 // is part of the DECIDED value, every replica cuts the identical epoch
@@ -40,6 +40,13 @@
 // pure-transfer run (zero consensus slots) the entire history is that
 // canonical terminal epoch, a pure function of the submitted operations,
 // independent of replicas, fault profile and replay parallelism.
+//
+// Both lanes pool their intake in a TxPool and cut it with the shared
+// Cutter (exec/cutter.h) — one size/deadline rule, each lane with its
+// own size and a one-shot erb_deadline timer.  The slow lane's cut is a
+// SUB-BLOCK (DESIGN.md §16): slow_subblock_ops consensus-class ops ride
+// one SlowCmd proposal; the default 1 makes every op a one-op
+// sub-block.
 //
 // ISSUE 6 — the bytes levers (DESIGN.md §12):
 //
@@ -53,16 +60,16 @@
 //     BATCH-granular; each batch unrolls in submission order inside its
 //     epoch, so per-origin FIFO and the origin-major canonical order are
 //     untouched.  The deadline cut is a node-local one-shot callback
-//     (armed when the buffer becomes non-empty), so no op waits more
-//     than erb_deadline for its cut; an empty buffer's tick broadcasts
-//     nothing.
+//     (armed when the lane's pool becomes non-empty), so no op waits
+//     more than erb_deadline for its cut; an empty pool's tick
+//     broadcasts nothing.
 //   * COMPACT SLOW LANE (HybridConfig::relay_mode).  Under
 //     RelayMode::kCompact a slow command's consensus value carries only
-//     {frontier, OpId}: the proposer announces the full (signed) payload
-//     once on the auxiliary relay lane (net/compact_relay.h), every
-//     phase of every Paxos slot ships the 8-byte reference, and a
-//     replica that committed the slot without the payload recovers it
-//     with the kGetOps round-trip.  Relay traffic is auxiliary-class
+//     {frontier, OpIds}: the proposer announces the full (signed)
+//     payloads once on the auxiliary relay lane (net/compact_relay.h),
+//     every phase of every Paxos slot ships the 8-byte references, and
+//     a replica that committed the slot without the payloads recovers
+//     them with the kGetOps round-trip.  Relay traffic is auxiliary-class
 //     (second Rng/tie-break stream), so the primary schedule — ERB and
 //     Paxos alike — is bit-identical across relay modes; recovery can
 //     only delay a barrier's local APPLY (the barrier queue parks),
@@ -133,6 +140,7 @@
 #include "common/ids.h"
 #include "common/wire.h"
 #include "exec/block.h"
+#include "exec/cutter.h"
 #include "exec/exec_specs.h"
 #include "exec/replay_engine.h"
 #include "exec/snapshot.h"
@@ -157,7 +165,8 @@ struct HybridConfig {
   /// op-ID references with recover-on-miss (history-invariant).
   RelayMode relay_mode = RelayMode::kFull;
   /// Fast-lane size cut: own fast ops per ERB broadcast.  1 = the
-  /// op-per-message baseline (no deadline callback is ever armed).
+  /// op-per-message baseline (no deadline callback is ever armed); 0
+  /// counts as 1, like every lane's cut.
   std::size_t erb_batch = 1;
   /// Fast-lane deadline cut period (simulated time): a partial batch
   /// never waits longer than this for its broadcast.
@@ -166,12 +175,11 @@ struct HybridConfig {
   /// ignored) — the all-Paxos baseline the benchmarks compare the lane
   /// split against (same script, same network, zero fast commits).
   bool force_consensus = false;
-  /// Slow-lane size cut (DESIGN.md §16): consensus-class ops buffered
+  /// Slow-lane size cut (DESIGN.md §16): consensus-class ops pooled
   /// into one SUB-BLOCK per SlowCmd proposal, amortizing the Paxos slot
-  /// and the frontier vector over the batch.  1 = today's
-  /// one-command-per-slot baseline (no buffering, byte-identical wire
-  /// and history); a partial sub-block never waits longer than
-  /// `erb_deadline` for its cut.
+  /// and the frontier vector over the batch.  1 = one op per slot (no
+  /// deadline callback is ever armed); a partial sub-block never waits
+  /// longer than `erb_deadline` for its cut.
   std::size_t slow_subblock_ops = 1;
   /// Which broadcast primitive backs the fast lane: crash-tolerant ERB
   /// (default) or Byzantine-tolerant Bracha with equivocation detection
@@ -205,38 +213,29 @@ class HybridReplicaNode {
     friend auto operator<=>(const FastBatch&, const FastBatch&) = default;
   };
 
-  /// Slow-lane payload: the operation plus the proposer's ERB delivery
-  /// frontier — the merge barrier's cut (file comment).  Under compact
-  /// relay the op stays home (announced on the relay lane) and only the
-  /// 8-byte `id` travels; the frontier is the barrier semantics itself
-  /// and always rides in the decided value.
+  /// Slow-lane payload: one cut sub-block of consensus-class ops plus
+  /// the proposer's ERB delivery frontier — the merge barrier's cut
+  /// (file comment).  Each op keeps its own caller and signature (unlike
+  /// a FastBatch, the run spans callers).  Under compact relay the ops
+  /// stay home (announced on the relay lane) and only their 8-byte ids
+  /// travel; the frontier is the barrier semantics itself and always
+  /// rides in the decided value.
   struct SlowCmd {
-    ProcessId caller = 0;
-    Op op{};
     std::vector<std::uint64_t> frontier;
-    bool compact = false;
-    OpId id = 0;
-    /// Sub-block form (HybridConfig::slow_subblock_ops > 1): the
-    /// buffered consensus-class run rides as ONE proposal.  Each op
-    /// keeps its own caller and signature (unlike a FastBatch, the run
-    /// spans callers).  Empty in the one-op baseline — the wire image
-    /// and equality are then exactly the pre-sub-block ones.
-    std::vector<BatchOp> batch;
-    /// Compact sub-block form: the ops stay home on the relay lane and
-    /// only their 8-byte ids ride the decided value; `id` is the fetch
-    /// correlation key for the whole sub-block.
-    std::vector<OpId> batch_ids;
+    std::vector<BatchOp> batch;   ///< full relay: the payloads
+    std::vector<OpId> batch_ids;  ///< compact relay: their ids only
 
+    bool compact() const noexcept { return !batch_ids.empty(); }
+    std::size_t size() const noexcept {
+      return batch.size() + batch_ids.size();
+    }
+
+    /// Frontier + length prefix + payloads (or 8-byte ids).
     std::uint64_t wire_size() const {
-      const std::uint64_t common = 8 + 8 * frontier.size();
-      if (!batch.empty() || !batch_ids.empty()) {
-        if (compact) return common + 8 + 8 + 8 * batch_ids.size();
-        std::uint64_t bytes = common + 8;
-        for (const BatchOp& b : batch) bytes += b.wire_size();
-        return bytes;
-      }
-      return compact ? common + 8
-                     : common + 4 + wire_size_of(op) + kOpAuthBytes;
+      std::uint64_t bytes = 8 + 8 * frontier.size() + 8;
+      if (compact()) return bytes + 8 * batch_ids.size();
+      for (const BatchOp& b : batch) bytes += b.wire_size();
+      return bytes;
     }
 
     friend bool operator==(const SlowCmd&, const SlowCmd&) = default;
@@ -262,6 +261,7 @@ class HybridReplicaNode {
                     const typename S::SeqState& initial, ExecOptions eopts,
                     HybridConfig hcfg = {}, std::uint64_t retry_delay = 40)
       : net_(net), self_(self), cfg_(hcfg), mux_(net, self),
+        fast_(cfg_.erb_batch), slow_(cfg_.slow_subblock_ops),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
         delivered_(net.num_nodes(), 0), applied_(net.num_nodes(), 0),
         buf_(net.num_nodes()),
@@ -270,10 +270,8 @@ class HybridReplicaNode {
                on_fast_deliver(origin, seq, b);
              }),
         tob_(mux_.template lane<1>(), self,
-             [this](std::uint64_t slot, ProcessId origin,
-                    std::uint64_t nonce, const SlowCmd& c) {
-               on_slow_commit(slot, origin, nonce, c);
-             },
+             [this](std::uint64_t slot, ProcessId origin, std::uint64_t,
+                    const SlowCmd& c) { on_slow_commit(slot, origin, c); },
              retry_delay),
         relay_(mux_.template lane<2>(), self, [this] { try_apply(); }),
         bracha_(mux_.template lane<3>(), self,
@@ -285,8 +283,7 @@ class HybridReplicaNode {
                      [this](ProcessId, std::uint64_t, const Proof& proof) {
                        install_proof(proof);
                      }) {
-    TS_EXPECTS(cfg_.erb_batch >= 1);
-    TS_EXPECTS(cfg_.slow_subblock_ops >= 1);
+    slow_.pool.set_origin(self);  // relay ids must be cluster-unique
   }
 
   HybridReplicaNode(const HybridReplicaNode&) = delete;
@@ -303,53 +300,16 @@ class HybridReplicaNode {
     const bool fast =
         !cfg_.force_consensus && caller == self_ &&
         quarantine_.classify(caller, op) == SyncClass::kFast;
+    // The op's latency window opens now.  A fast op's closes when its
+    // BATCH is delivered locally (the fast lane's commit point), a slow
+    // op's at its barrier apply — so the cut wait is part of the
+    // measured cost of batching on both lanes.
     if (fast) {
-      // The op's latency window opens now; it closes when its BATCH is
-      // delivered locally (the fast lane's commit point) — so the cut
-      // wait is part of the measured cost of batching.
-      core_.start_latency(fast_key(fast_ops_submitted_++), net_.now());
-      fast_buf_.push_back(std::move(op));
-      if (fast_buf_.size() >= cfg_.erb_batch) {
-        flush_fast();
-      } else if (!fast_timer_armed_) {
-        // Deadline cut: one-shot, armed when the buffer becomes
-        // non-empty.  A size cut may empty the buffer first — then the
-        // tick finds nothing and broadcasts nothing.
-        fast_timer_armed_ = true;
-        net_.call_at(self_, cfg_.erb_deadline, [this] {
-          fast_timer_armed_ = false;
-          if (!fast_buf_.empty()) flush_fast();
-        });
-      }
-    } else if (cfg_.slow_subblock_ops > 1) {
-      // Sub-block intake (DESIGN.md §16): the §10 cut rule on the
-      // consensus lane.  The op's latency window opens NOW and closes
-      // at its barrier apply, so the cut wait is part of the measured
-      // cost of slow-lane batching — same trade the fast lane reports.
-      core_.start_latency(slow_key(slow_ops_submitted_++), net_.now());
-      slow_buf_.push_back(BatchOp{caller, std::move(op)});
-      if (slow_buf_.size() >= cfg_.slow_subblock_ops) {
-        flush_slow();
-      } else if (!slow_timer_armed_) {
-        slow_timer_armed_ = true;
-        net_.call_at(self_, cfg_.erb_deadline, [this] {
-          slow_timer_armed_ = false;
-          if (!slow_buf_.empty()) flush_slow();
-        });
-      }
+      core_.start_latency(fast_key(fast_.pool.submitted()), net_.now());
+      intake(fast_, caller, std::move(op), &HybridReplicaNode::flush_fast);
     } else {
-      SlowCmd c;
-      c.caller = caller;
-      c.frontier = delivered_;
-      if (cfg_.relay_mode == RelayMode::kCompact) {
-        c.compact = true;
-        c.id = make_op_id(self_, slow_proposed_++);
-        relay_.announce({TaggedOp<BatchOp>{c.id, BatchOp{caller, op}}});
-      } else {
-        c.op = std::move(op);
-      }
-      const std::uint64_t nonce = tob_.broadcast(std::move(c));
-      core_.start_latency(slow_key(nonce), net_.now());
+      core_.start_latency(slow_key(slow_.pool.submitted()), net_.now());
+      intake(slow_, caller, std::move(op), &HybridReplicaNode::flush_slow);
     }
   }
 
@@ -388,10 +348,10 @@ class HybridReplicaNode {
   /// which also certifies every compact payload was recovered), no fast
   /// op still waiting for its cut, and every own fast batch applied
   /// (which implies finalize() ran if any fast op was submitted).
-  bool all_settled() const noexcept {
+  bool all_settled() const {
     return tob_.all_settled() && barrier_queue_.empty() &&
-           fast_buf_.empty() && slow_buf_.empty() &&
-           applied_[self_] == fast_batches_submitted_;
+           fast_.pool.pending() == 0 && slow_.pool.pending() == 0 &&
+           applied_[self_] == fast_.cutter.cuts();
   }
 
   // --- lane accounting ---
@@ -401,10 +361,10 @@ class HybridReplicaNode {
   std::size_t consensus_slots() const noexcept { return slots_committed_; }
   /// Fast-lane ops applied here (inside barrier epochs + terminal epoch).
   std::size_t fast_lane_ops() const noexcept { return fast_lane_ops_; }
-  std::size_t fast_submitted() const noexcept { return fast_ops_submitted_; }
+  std::size_t fast_submitted() const { return fast_.pool.submitted(); }
   /// Fast batches this replica broadcast (ops / batches = the achieved
   /// amortization the E19 sweep reports).
-  std::size_t fast_batches() const noexcept { return fast_batches_submitted_; }
+  std::size_t fast_batches() const noexcept { return fast_.cutter.cuts(); }
 
   // --- Byzantine-tier accounting (DESIGN.md §15) ---
 
@@ -459,65 +419,88 @@ class HybridReplicaNode {
 
  private:
   using Blk = Block<S>;
+  using Run = typename Cutter<S>::Run;
+
+  /// One intake lane: its pool, the shared cut rule over it, and its
+  /// one-shot deadline flag.  Pinned: the cutter and the deadline
+  /// callback hold its address.
+  struct Intake {
+    explicit Intake(std::size_t max_ops) : cutter(pool, max_ops) {}
+    Intake(const Intake&) = delete;
+    Intake& operator=(const Intake&) = delete;
+
+    TxPool<S> pool;
+    Cutter<S> cutter;
+    bool deadline_armed = false;
+  };
 
   struct PendingBarrier {
     std::uint64_t slot = 0;
     ProcessId origin = 0;
-    std::uint64_t nonce = 0;
     SlowCmd cmd;
   };
 
-  // Latency keys, lane-tagged so fast-op indices and TOB nonces cannot
-  // collide in the shared ReplicaCore map.
+  // Latency keys: per-lane intake indices, lane-tagged so the two lanes
+  // cannot collide in the shared ReplicaCore map.
   static std::uint64_t fast_key(std::uint64_t i) { return i * 2 + 1; }
-  static std::uint64_t slow_key(std::uint64_t nonce) { return nonce * 2; }
+  static std::uint64_t slow_key(std::uint64_t i) { return i * 2; }
 
-  /// Size/deadline cut: broadcast the buffered run as one FastBatch on
-  /// the configured lane.  The batch counter advances HERE (not at
-  /// delivery): ERB delivers the local copy synchronously inside
-  /// broadcast(), Bracha only behind the 2f+1 READY quorum — counting
-  /// at the cut keeps all_settled() meaning the same thing on both
-  /// lanes ("every own batch reached its commit point").  The buffered
-  /// ops' latency windows still close at local delivery.
-  void flush_fast() {
+  /// Pools `op` on `lane` and applies the cut rule: a full pool hands
+  /// its run to `flush` now; otherwise a one-shot deadline, armed when
+  /// the first op pools, flushes whatever is pending when it fires.  A
+  /// size cut may empty the pool first — the tick then cuts nothing.
+  void intake(Intake& lane, ProcessId caller, Op op,
+              void (HybridReplicaNode::*flush)(Run)) {
+    lane.pool.submit(caller, std::move(op));
+    if (Run run = lane.cutter.cut_if_full(); !run.empty()) {
+      (this->*flush)(std::move(run));
+    } else if (!lane.deadline_armed) {
+      lane.deadline_armed = true;
+      net_.call_at(self_, cfg_.erb_deadline, [this, &lane, flush] {
+        lane.deadline_armed = false;
+        if (Run run = lane.cutter.cut(); !run.empty()) {
+          (this->*flush)(std::move(run));
+        }
+      });
+    }
+  }
+
+  /// Fast-lane cut: broadcast the run as one FastBatch on the
+  /// configured lane.  The batch count (the cutter's) advances at the
+  /// cut, not at delivery: ERB delivers the local copy synchronously
+  /// inside broadcast(), Bracha only behind the 2f+1 READY quorum —
+  /// counting at the cut keeps all_settled() meaning the same thing on
+  /// both lanes ("every own batch reached its commit point").  The ops'
+  /// latency windows still close at local delivery.
+  void flush_fast(Run run) {
     FastBatch b;
     b.caller = self_;
-    b.ops = std::move(fast_buf_);
-    fast_buf_.clear();
-    ++fast_batches_submitted_;
+    b.ops.reserve(run.size());
+    for (auto& t : run) b.ops.push_back(std::move(t.op.op));
     const std::uint64_t seq = cfg_.fast_lane == FastLane::kBracha
                                   ? bracha_.broadcast(std::move(b))
                                   : erb_.broadcast(std::move(b));
-    TS_ASSERT(seq == fast_batches_submitted_ - 1);
+    TS_ASSERT(seq == fast_.cutter.cuts() - 1);
   }
 
-  /// Slow-lane size/deadline cut: the buffered consensus-class run
-  /// becomes ONE SlowCmd sub-block.  The frontier is read HERE — the
-  /// barrier cut reflects the proposer's delivery state at proposal
-  /// time, exactly like the one-op path reads it at submit.  Under
-  /// compact relay every op is announced individually (each carries its
-  /// own signature) and the decided value ships only the id vector.
-  void flush_slow() {
+  /// Slow-lane cut: the run becomes ONE SlowCmd sub-block.  The
+  /// frontier is read HERE — the barrier cut reflects the proposer's
+  /// delivery state at proposal time.  Under compact relay every op is
+  /// announced individually (each carries its own signature) under its
+  /// pool id, and the decided value ships only the id vector.  No
+  /// per-proposal latency window: the ops' windows are already open
+  /// (submit) and close one by one at the barrier apply.
+  void flush_slow(Run run) {
     SlowCmd c;
     c.frontier = delivered_;
     if (cfg_.relay_mode == RelayMode::kCompact) {
-      c.compact = true;
-      c.id = make_op_id(self_, slow_proposed_++);
-      std::vector<TaggedOp<BatchOp>> tagged;
-      tagged.reserve(slow_buf_.size());
-      for (BatchOp& b : slow_buf_) {
-        const OpId id = make_op_id(self_, slow_proposed_++);
-        c.batch_ids.push_back(id);
-        tagged.push_back(TaggedOp<BatchOp>{id, std::move(b)});
-      }
-      relay_.announce(tagged);
-      slow_buf_.clear();
+      c.batch_ids.reserve(run.size());
+      for (const auto& t : run) c.batch_ids.push_back(t.id);
+      relay_.announce(run);
     } else {
-      c.batch = std::move(slow_buf_);
-      slow_buf_.clear();
+      c.batch.reserve(run.size());
+      for (auto& t : run) c.batch.push_back(std::move(t.op));
     }
-    // No per-proposal latency window: the buffered ops' windows are
-    // already open (submit) and close one by one at the barrier apply.
     tob_.broadcast(std::move(c));
   }
 
@@ -554,9 +537,9 @@ class HybridReplicaNode {
   }
 
   void on_slow_commit(std::uint64_t slot, ProcessId origin,
-                      std::uint64_t nonce, const SlowCmd& c) {
+                      const SlowCmd& c) {
     TS_ASSERT(c.frontier.size() == delivered_.size());
-    barrier_queue_.push_back(PendingBarrier{slot, origin, nonce, c});
+    barrier_queue_.push_back(PendingBarrier{slot, origin, c});
     try_apply();
   }
 
@@ -570,65 +553,36 @@ class HybridReplicaNode {
       for (ProcessId o = 0; o < delivered_.size(); ++o) {
         if (delivered_[o] < head.cmd.frontier[o]) return;  // park: frontier
       }
-      const bool subblock =
-          !head.cmd.batch.empty() || !head.cmd.batch_ids.empty();
-      const BatchOp* slow_op = nullptr;
-      if (head.cmd.compact) {
-        if (subblock) {
-          std::vector<OpId> missing;
-          for (const OpId id : head.cmd.batch_ids) {
-            if (!relay_.find(id)) missing.push_back(id);
-          }
-          if (!missing.empty()) {  // park: sub-block payloads in flight
-            relay_.fetch(head.cmd.id, head.origin, missing,
-                         head.cmd.batch_ids);
-            return;
-          }
-        } else {
-          slow_op = relay_.find(head.cmd.id);
-          if (!slow_op) {  // park: payload in flight (recover-on-miss)
-            relay_.fetch(head.cmd.id, head.origin, {head.cmd.id},
-                         {head.cmd.id});
-            return;
-          }
+      // Compact sub-blocks fetch under their first op's id (unique: every
+      // op id rides exactly one sub-block).
+      const SlowCmd& cmd = head.cmd;
+      if (cmd.compact()) {
+        std::vector<OpId> missing;
+        for (const OpId id : cmd.batch_ids) {
+          if (!relay_.find(id)) missing.push_back(id);
         }
+        if (!missing.empty()) {  // park: payloads in flight
+          relay_.fetch(cmd.batch_ids.front(), head.origin, missing,
+                       cmd.batch_ids);
+          return;
+        }
+        relay_.cancel(cmd.batch_ids.front());
       }
-      Blk blk = cut_epoch(head.cmd.frontier);
+      // The sub-block unrolls in submission order inside the barrier
+      // epoch — one engine apply for fast cut + whole sub-block.
+      Blk blk = cut_epoch(cmd.frontier);
       fast_lane_ops_ += blk.size();
-      std::size_t own_slow_ops = 0;
-      if (subblock) {
-        // The sub-block unrolls in submission order inside the barrier
-        // epoch — one engine apply for fast cut + whole sub-block.
-        if (head.cmd.compact) {
-          for (const OpId id : head.cmd.batch_ids) {
-            blk.ops.push_back(*relay_.find(id));
-          }
-          own_slow_ops = head.cmd.batch_ids.size();
-        } else {
-          for (const BatchOp& b : head.cmd.batch) blk.ops.push_back(b);
-          own_slow_ops = head.cmd.batch.size();
-        }
-      } else {
-        blk.ops.push_back(head.cmd.compact
-                              ? *slow_op
-                              : BatchOp{head.cmd.caller, head.cmd.op});
-      }
-      if (head.cmd.compact) relay_.cancel(head.cmd.id);
-      proposal_bytes_ += wire_size_of(head.cmd);
-      core_.append(head.slot, head.origin, net_.now(),
-                   engine_->apply(blk));
+      for (const OpId id : cmd.batch_ids) blk.ops.push_back(*relay_.find(id));
+      blk.ops.insert(blk.ops.end(), cmd.batch.begin(), cmd.batch.end());
+      proposal_bytes_ += wire_size_of(cmd);
+      core_.append(head.slot, head.origin, net_.now(), engine_->apply(blk));
       ++slots_committed_;
       if (head.origin == self_) {
-        if (subblock) {
-          // Own sub-blocks commit in nonce order (TotalOrderBcast
-          // proposes pending nonces sequentially), so the buffered ops'
-          // windows close in the same order they opened.
-          for (std::size_t i = 0; i < own_slow_ops; ++i) {
-            core_.finish_latency(slow_key(slow_ops_finished_++),
-                                 net_.now());
-          }
-        } else {
-          core_.finish_latency(slow_key(head.nonce), net_.now());
+        // Own sub-blocks commit in nonce order (TotalOrderBcast proposes
+        // pending nonces sequentially), so the ops' windows close in the
+        // same order they opened.
+        for (std::size_t i = 0; i < cmd.size(); ++i) {
+          core_.finish_latency(slow_key(slow_ops_finished_++), net_.now());
         }
       }
       barrier_queue_.pop_front();
@@ -667,6 +621,8 @@ class HybridReplicaNode {
   ProcessId self_;
   HybridConfig cfg_;
   Mux mux_;
+  Intake fast_;  ///< own fast ops awaiting their cut
+  Intake slow_;  ///< own consensus-class ops awaiting their cut
   std::unique_ptr<ReplayEngine<S>> engine_;  // pinned (replay_engine.h)
   std::vector<std::uint64_t> delivered_;  ///< per-origin ERB frontier (batches)
   std::vector<std::uint64_t> applied_;    ///< per-origin merge cursor (batches)
@@ -681,18 +637,10 @@ class HybridReplicaNode {
   std::size_t equivocation_commits_ = 0;
   std::deque<PendingBarrier> barrier_queue_;
   ReplicaCore core_;
-  std::vector<Op> fast_buf_;  ///< own fast ops awaiting their cut
-  bool fast_timer_armed_ = false;
-  std::vector<BatchOp> slow_buf_;  ///< own slow ops awaiting their cut
-  bool slow_timer_armed_ = false;
-  std::size_t slow_ops_submitted_ = 0;  ///< sub-block latency keys (intake)
-  std::size_t slow_ops_finished_ = 0;   ///< sub-block latency keys (apply)
-  std::size_t fast_ops_submitted_ = 0;
-  std::size_t fast_ops_finished_ = 0;
-  std::size_t fast_batches_submitted_ = 0;
+  std::size_t fast_ops_finished_ = 0;  ///< fast latency keys closed
+  std::size_t slow_ops_finished_ = 0;  ///< slow latency keys closed
   std::size_t fast_lane_ops_ = 0;
   std::size_t slots_committed_ = 0;
-  std::uint64_t slow_proposed_ = 0;
   std::uint64_t proposal_bytes_ = 0;
 };
 

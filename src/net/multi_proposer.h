@@ -78,6 +78,7 @@
 #include "common/error.h"
 #include "common/ids.h"
 #include "common/wire.h"
+#include "exec/cutter.h"
 #include "exec/replay_engine.h"
 #include "exec/subblock.h"
 #include "exec/txpool.h"
@@ -307,7 +308,7 @@ class MultiProposerNode {
         num_proposers_(std::clamp<std::size_t>(cfg.num_proposers, 1,
                                                net.num_nodes())),
         engine_(std::make_unique<ReplayEngine<S>>(initial, eopts)),
-        builder_(pool_, self, cfg.subblock_max_ops), mux_(net, self),
+        cutter_(pool_, cfg.subblock_max_ops), mux_(net, self),
         tob_(mux_.lane_a(), self,
              [this](std::uint64_t slot, ProcessId origin, std::uint64_t nonce,
                     const Value& v) { on_commit(slot, origin, nonce, v); },
@@ -332,14 +333,14 @@ class MultiProposerNode {
     const OpId id = pool_.submit(caller, std::move(op));
     ++ops_submitted_;
     core_.start_latency(id, net_.now());
-    if (auto s = builder_.cut_if_full()) adopt_own(std::move(*s));
+    adopt_own(cutter_.cut_if_full());
   }
 
   /// Deadline tick (drivers schedule this every cfg.deadline): flushes
   /// a partial fill, re-publishes own sub-blocks still unreferenced
   /// (bounded by republish_after), and re-checks the proposal pacing.
   void on_deadline() {
-    if (auto s = builder_.cut()) adopt_own(std::move(*s));
+    adopt_own(cutter_.cut());
     republish_pending();
     maybe_arm_propose();
   }
@@ -424,9 +425,16 @@ class MultiProposerNode {
   void set_refresh_enabled(bool enabled) { refresh_enabled_ = enabled; }
 
  private:
-  /// A freshly cut own sub-block: store, register its reference, track
-  /// it until committed, publish eagerly, wake the pacing.
-  void adopt_own(Sub s) {
+  /// A fresh own cut becomes the next origin-sequenced sub-block
+  /// (sub_seq = the cutter's 1-based cut count): store, register its
+  /// reference, track it until committed, publish eagerly, wake the
+  /// pacing.  An empty run (nothing was cut) adopts nothing.
+  void adopt_own(typename Cutter<S>::Run run) {
+    if (run.empty()) return;
+    Sub s;
+    s.origin = self_;
+    s.sub_seq = static_cast<std::uint32_t>(cutter_.cuts());
+    s.ops = std::move(run);
     exchange_.add_local(s);
     known_refs_.emplace(std::make_pair(s.origin, s.sub_seq), s.ref());
     own_pending_.emplace(s.id(), net_.now() + cfg_.republish_after);
@@ -596,7 +604,7 @@ class MultiProposerNode {
   std::size_t num_proposers_;
   TxPool<S> pool_;
   std::unique_ptr<ReplayEngine<S>> engine_;
-  SubBlockBuilder<S> builder_;
+  Cutter<S> cutter_;
   Mux mux_;
   Tob tob_;
   Exchange exchange_;

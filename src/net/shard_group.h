@@ -6,7 +6,7 @@
 // few accounts it touches.  The paper's σ-group analysis (Sec. 5) says
 // only the accounts an operation touches need to agree — so this header
 // partitions the ACCOUNT SPACE across N replica groups.  Each group is
-// a full block pipeline (net/block_replica.h: TxPool → BlockBuilder →
+// a full block pipeline (net/block_replica.h: TxPool → Cutter →
 // Paxos-backed total order → ReplayEngine) running over its own slice
 // of ONE shared SimNet:
 //

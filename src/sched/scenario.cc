@@ -734,15 +734,8 @@ class BlockHarness {
       const std::function<std::optional<std::string>(
           const typename Spec::SeqState&)>& conserve) {
     const std::uint64_t period = std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    std::uint64_t horizon = last_submit_ + 2 * period;
-    if (rejoiner_) {
-      horizon = std::max(horizon, FaultTiming{}.rejoin_at + 40 * period);
-    }
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
+    arm_deadline_ticks(net_, nodes_, cfg_.block_deadline, last_submit_,
+                       rejoiner_ ? FaultTiming{}.rejoin_at + 40 * period : 0);
     drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = rejoiner_
@@ -949,14 +942,7 @@ class MultiProposerHarness {
   ScenarioReport finish(
       const std::function<std::optional<std::string>(const Erc20State&)>&
           conserve) {
-    const std::uint64_t period =
-        std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    const std::uint64_t horizon = last_submit_ + 2 * period;
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
+    arm_deadline_ticks(net_, nodes_, cfg_.block_deadline, last_submit_);
     drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
@@ -1428,14 +1414,7 @@ class ShardHarness {
   }
 
   ScenarioReport finish() {
-    const std::uint64_t period =
-        std::max<std::uint64_t>(cfg_.block_deadline, 1);
-    const std::uint64_t horizon = last_submit_ + 2 * period;
-    for (ProcessId p = 0; p < nodes_.size(); ++p) {
-      for (std::uint64_t t = period; t <= horizon; t += period) {
-        net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
-      }
-    }
+    arm_deadline_ticks(net_, nodes_, cfg_.block_deadline, last_submit_);
     // The drain must CUT as well as sync: every committed 2PC stage
     // spawns follow-up submissions (driver call_at timers firing inside
     // the drain), and those pooled ops only propose on a deadline tick.

@@ -171,7 +171,7 @@ struct ScenarioConfig {
   // block knobs) and INDEPENDENT of replay_threads — the determinism
   // criterion tests/block_pipeline_test.cc asserts.
   std::size_t replay_threads = 1;      ///< ReplayEngine workers per replica
-  std::size_t block_max_ops = 8;       ///< size cut (ops per block)
+  std::size_t block_max_ops = 8;       ///< size cut (ops per block; 0 = 1)
   std::uint64_t block_deadline = 25;   ///< deadline-cut tick period
   std::size_t block_window = 1;        ///< TOB pipelining depth per replica
 
@@ -187,17 +187,18 @@ struct ScenarioConfig {
   /// bytes on the wire change.
   RelayMode relay_mode = RelayMode::kFull;
   /// Hybrid workloads: ERB fast-lane batch size — same-origin fast ops
-  /// per broadcast (size cut; the block_deadline-style deadline cut is
-  /// fixed inside the hybrid runtime).  History-invariant like
-  /// relay_mode; amortizes the per-broadcast header + signature bytes.
+  /// per broadcast (the fast lane's Cutter size cut, exec/cutter.h; its
+  /// deadline cut is HybridConfig::erb_deadline at its default, not
+  /// block_deadline).  History-invariant like relay_mode; amortizes the
+  /// per-broadcast header + signature bytes.
   std::size_t erb_batch = 1;
   /// Hybrid workloads: slow-lane sub-block size — consensus-class ops
-  /// buffered into ONE SlowCmd proposal (net/hybrid_replica.h; the
-  /// ISSUE 10 sub-block idea on the consensus lane).  1 = the
-  /// one-command-per-slot baseline, bit-identical to the pre-sub-block
-  /// runtime.  >1 changes slot COMPOSITION (fewer, fatter barriers),
-  /// so unlike relay_mode it is not history-invariant — but the result
-  /// is still a deterministic function of (seed, fault, knobs).
+  /// cut into ONE SlowCmd proposal (net/hybrid_replica.h; the same
+  /// Cutter rule on the consensus lane).  1 = one-op sub-blocks, one
+  /// command per slot.  >1 changes slot COMPOSITION (fewer, fatter
+  /// barriers), so unlike relay_mode it is not history-invariant — but
+  /// the result is still a deterministic function of (seed, fault,
+  /// knobs).
   std::size_t slow_subblock_ops = 1;
 
   // Recovery knobs (ISSUE 7; block-pipeline workloads only — see
@@ -523,6 +524,25 @@ void drain_cluster(Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
       if (correct[p]) nodes[p]->sync();
     }
   });
+}
+
+/// The deadline ticks every cut-pipeline harness shares: each replica's
+/// on_deadline() every `deadline` time units (0 counts as 1), through
+/// two periods past `last_submit` so every pooled op gets a cut — or
+/// through `horizon`, if later.  Ticks resolve `nodes[p]` when they fire,
+/// so a replica rebuilt mid-run is ticked too.
+template <typename Net, typename Node>
+void arm_deadline_ticks(Net& net,
+                        const std::vector<std::unique_ptr<Node>>& nodes,
+                        std::uint64_t deadline, std::uint64_t last_submit,
+                        std::uint64_t horizon = 0) {
+  const std::uint64_t period = std::max<std::uint64_t>(deadline, 1);
+  horizon = std::max(horizon, last_submit + 2 * period);
+  for (ProcessId p = 0; p < nodes.size(); ++p) {
+    for (std::uint64_t t = period; t <= horizon; t += period) {
+      net.call_at(p, t, [&nodes, p] { nodes[p]->on_deadline(); });
+    }
+  }
 }
 
 /// The report step every replica-cluster harness shares: skeleton from

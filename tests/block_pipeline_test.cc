@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/cutter.h"
 #include "exec/exec_specs.h"
 #include "net/block_replica.h"
 #include "objects/erc721.h"
@@ -46,57 +47,57 @@ Erc721State erc721_initial(std::size_t tokens) {
 }
 
 // ---------------------------------------------------------------------------
-// BlockBuilder: the size/deadline cut rule.
+// Cutter: the size/deadline cut rule every intake lane shares.
 // ---------------------------------------------------------------------------
 
-TEST(BlockBuilder, EmptyPoolDeadlineCutYieldsNoBlock) {
+TEST(Cutter, EmptyPoolDeadlineCutYieldsNoBlock) {
   Erc20TxPool pool;
-  BlockBuilder<Erc20LedgerSpec> builder(pool, BlockConfig{.max_ops = 4});
-  EXPECT_FALSE(builder.cut().has_value());
-  EXPECT_FALSE(builder.cut_if_full().has_value());
-  EXPECT_EQ(builder.blocks_cut(), 0u);
-  EXPECT_EQ(builder.empty_cuts(), 1u);  // only cut() counts an empty tick
+  Cutter<Erc20LedgerSpec> cutter(pool, /*max_ops=*/4);
+  EXPECT_TRUE(cutter.cut().empty());
+  EXPECT_TRUE(cutter.cut_if_full().empty());
+  EXPECT_EQ(cutter.cuts(), 0u);
+  EXPECT_EQ(cutter.empty_cuts(), 1u);  // only cut() counts an empty tick
 }
 
-TEST(BlockBuilder, SizeCutFiresExactlyAtMaxOps) {
+TEST(Cutter, SizeCutFiresExactlyAtMaxOps) {
   Erc20TxPool pool;
-  BlockBuilder<Erc20LedgerSpec> builder(pool, BlockConfig{.max_ops = 3});
+  Cutter<Erc20LedgerSpec> cutter(pool, /*max_ops=*/3);
   pool.submit(0, Erc20Op::transfer(1, 1));
   pool.submit(0, Erc20Op::transfer(2, 1));
-  EXPECT_FALSE(builder.cut_if_full().has_value());  // partial fills wait
+  EXPECT_TRUE(cutter.cut_if_full().empty());  // partial fills wait
   pool.submit(0, Erc20Op::transfer(3, 1));
-  const auto b = builder.cut_if_full();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->size(), 3u);
+  const auto b = cutter.cut_if_full();
+  ASSERT_FALSE(b.empty());
+  EXPECT_EQ(b.size(), 3u);
   EXPECT_EQ(pool.pending(), 0u);
   // Ops keep pool submission order.
-  EXPECT_EQ(b->ops[0].op.dst, 1u);
-  EXPECT_EQ(b->ops[2].op.dst, 3u);
+  EXPECT_EQ(b[0].op.op.dst, 1u);
+  EXPECT_EQ(b[2].op.op.dst, 3u);
 }
 
-TEST(BlockBuilder, DeadlineCutFlushesAPartialFill) {
+TEST(Cutter, DeadlineCutFlushesAPartialFill) {
   Erc20TxPool pool;
-  BlockBuilder<Erc20LedgerSpec> builder(pool, BlockConfig{.max_ops = 8});
+  Cutter<Erc20LedgerSpec> cutter(pool, /*max_ops=*/8);
   pool.submit(5, Erc20Op::transfer(6, 2));
-  const auto b = builder.cut();  // single-op block
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->size(), 1u);
-  EXPECT_EQ(b->ops[0].caller, 5u);
-  EXPECT_EQ(builder.blocks_cut(), 1u);
-  EXPECT_FALSE(builder.cut().has_value());
+  const auto b = cutter.cut();  // single-op block
+  ASSERT_FALSE(b.empty());
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].op.caller, 5u);
+  EXPECT_EQ(cutter.cuts(), 1u);
+  EXPECT_TRUE(cutter.cut().empty());
 }
 
-TEST(BlockBuilder, DeadlineCutIsBoundedByMaxOps) {
+TEST(Cutter, DeadlineCutIsBoundedByMaxOps) {
   Erc20TxPool pool;
-  BlockBuilder<Erc20LedgerSpec> builder(pool, BlockConfig{.max_ops = 4});
+  Cutter<Erc20LedgerSpec> cutter(pool, /*max_ops=*/4);
   for (Amount v = 1; v <= 6; ++v) pool.submit(0, Erc20Op::transfer(1, v));
-  const auto first = builder.cut();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->size(), 4u);
-  const auto second = builder.cut();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->size(), 2u);
-  EXPECT_EQ(second->ops[0].op.value, 5u);
+  const auto first = cutter.cut();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.size(), 4u);
+  const auto second = cutter.cut();
+  ASSERT_FALSE(second.empty());
+  EXPECT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].op.op.value, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,6 +247,20 @@ TEST(BlockScenario, BlocksActuallyBatch) {
       block_cfg(Workload::kErc20BlockStorm, FaultProfile::kNone));
   expect_ok(rep);
   EXPECT_LT(rep.slots, rep.committed);
+}
+
+TEST(BlockScenario, ZeroMaxOpsCutsLikeOne) {
+  // block_max_ops = 0 is clamped to 1 by the shared cut rule: no empty
+  // blocks, every op commits, and the run is the size-1 run exactly.
+  auto c = block_cfg(Workload::kErc20BlockStorm, FaultProfile::kNone);
+  c.block_max_ops = 0;
+  const auto zero = run_scenario(c);
+  c.block_max_ops = 1;
+  const auto one = run_scenario(c);
+  EXPECT_TRUE(zero.ok()) << zero.summary();
+  expect_ok(zero);
+  EXPECT_EQ(zero.committed, zero.submitted);
+  EXPECT_EQ(zero.history, one.history);
 }
 
 TEST(BlockScenario, PipelineWindowTwoStaysCorrect) {

@@ -7,8 +7,8 @@
 //   * recover-on-miss — under lossy/partitioned links, and with
 //     announcements force-disabled so EVERY reconstruction must take the
 //     kGetOps round-trip, compact clusters still converge to the
-//     full-mode history; the short-block fallback fires after the retry
-//     bound;
+//     full-mode history (the hybrid slow lane's barriers included);
+//     the short-block fallback fires after the retry bound;
 //   * ERB batch cuts — single-op deadline flushes, deadline ticks over
 //     an empty buffer, per-origin FIFO across batch boundaries, and the
 //     fastlane-storm history's invariance to the batch size;
@@ -178,6 +178,73 @@ TEST(CompactRelayRecovery, ForcedMissRecoversEveryBlock) {
   // Every replica missed every one of its peers' blocks.
   EXPECT_GT(recoveries, 0u);
   EXPECT_GE(requests, recoveries);
+}
+
+// The hybrid slow lane's forced universal miss: with announcements
+// disabled, every barrier a replica did not propose itself must fetch
+// its sub-block through kGetOps before it applies — and the history must
+// still equal the announce-on run's.  Fast-lane ops ride along so the
+// barriers cut real ERB epochs.
+TEST(CompactRelayRecovery, HybridForcedMissRecoversEveryBarrier) {
+  using Node = HybridReplicaNode<Erc20LedgerSpec>;
+  constexpr std::size_t kAccts = 4;
+  constexpr std::uint64_t kSlowOps = 4;  // per replica
+  const Erc20State initial(std::vector<Amount>(kAccts, 100),
+                           std::vector<std::vector<Amount>>(
+                               kAccts, std::vector<Amount>(kAccts, 2)));
+
+  const auto run = [&](std::size_t subblock_ops, bool announce) {
+    typename Node::Net net(4, make_net_config(FaultProfile::kNone, 13));
+    HybridConfig hcfg;
+    hcfg.relay_mode = RelayMode::kCompact;
+    hcfg.slow_subblock_ops = subblock_ops;
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (ProcessId p = 0; p < 4; ++p) {
+      nodes.push_back(std::make_unique<Node>(
+          net, p, initial, ExecOptions{.threads = 1}, hcfg));
+      nodes.back()->set_announce_enabled(announce);
+    }
+    for (ProcessId p = 0; p < 4; ++p) {
+      Node* node = nodes[p].get();
+      const auto other = static_cast<ProcessId>((p + 1) % kAccts);
+      for (std::uint64_t j = 0; j < kSlowOps; ++j) {
+        // caller != self: consensus lane.  caller == self: fast lane.
+        const auto dst = static_cast<AccountId>(j % kAccts);
+        net.call_at(p, 5 + 7 * j, [node, other, dst] {
+          node->submit(other, Erc20Op::transfer(dst, 1));
+        });
+        net.call_at(p, 8 + 7 * j, [node, p, other] {
+          node->submit(p, Erc20Op::transfer(other, 1));
+        });
+      }
+    }
+    const std::vector<bool> correct(4, true);
+    drain_cluster(net, nodes, correct);
+    for (ProcessId p = 0; p < 4; ++p) nodes[p]->finalize();
+    return nodes;
+  };
+
+  for (const std::size_t subblock_ops : {1u, 3u}) {
+    const auto announced = run(subblock_ops, true);
+    const auto forced = run(subblock_ops, false);
+    for (ProcessId p = 0; p < 4; ++p) {
+      ASSERT_TRUE(forced[p]->all_settled()) << "replica " << p;
+      EXPECT_EQ(forced[p]->history(), forced[0]->history()) << "replica " << p;
+      EXPECT_EQ(forced[p]->history(), announced[p]->history())
+          << "replica " << p;
+      EXPECT_GT(forced[p]->relay().miss_recoveries(), 0u) << "replica " << p;
+      EXPECT_EQ(announced[p]->relay().miss_recoveries(), 0u)
+          << "replica " << p;
+      if (subblock_ops == 1) {
+        // One-op sub-blocks: one slot per slow op, and every peer's slot
+        // is one recovery here.
+        EXPECT_EQ(forced[p]->consensus_slots(), 4 * kSlowOps);
+        EXPECT_EQ(forced[p]->relay().miss_recoveries(), 3 * kSlowOps)
+            << "replica " << p;
+      }
+    }
+    EXPECT_GT(forced[0]->fast_lane_ops(), 0u);
+  }
 }
 
 // The short-block fallback: a fetch whose first `fallback_after`

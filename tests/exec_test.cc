@@ -4,7 +4,7 @@
 //     applied in submission order, for every spec in the family;
 //   * determinism — the same batch yields byte-identical ledger state
 //     across thread counts 1/2/8 and shard counts (the acceptance
-//     criterion), in both static and dynamic partitioning modes;
+//     criterion);
 //   * escalation — state-dependent-σ ops (ERC721 approve/ownerOf) and
 //     whole-state ops (totalSupply) leave the fast path but still land
 //     in the right place of the order;
@@ -206,17 +206,6 @@ TEST(ExecEquivalence, Erc777MatchesSequentialSpec) {
   }
 }
 
-TEST(ExecEquivalence, DynamicModeAndShardSortMatchToo) {
-  const auto batch = erc20_batch(/*seed=*/19, /*ops=*/300);
-  expect_equivalent<Erc20LedgerSpec>(
-      erc20_initial(), batch,
-      {.threads = 4, .deterministic = false}, kAccounts);
-  expect_equivalent<Erc20LedgerSpec>(
-      erc20_initial(), batch,
-      {.threads = 4, .deterministic = true, .sort_waves_by_shard = true},
-      3);
-}
-
 // ---------------------------------------------------------------------------
 // Determinism across thread counts — the acceptance criterion: same
 // batch ⇒ byte-identical ledger state for threads ∈ {1, 2, 8}.
@@ -225,14 +214,12 @@ TEST(ExecEquivalence, DynamicModeAndShardSortMatchToo) {
 template <typename LedgerSpec>
 void expect_thread_count_invariant(
     const typename LedgerSpec::SeqState& initial,
-    const std::vector<typename ConcurrentLedger<LedgerSpec>::BatchOp>& batch,
-    bool deterministic_mode) {
+    const std::vector<typename ConcurrentLedger<LedgerSpec>::BatchOp>& batch) {
   std::vector<typename LedgerSpec::SeqState> finals;
   std::vector<std::vector<Response>> responses;
   for (const std::size_t threads : {1, 2, 8}) {
     ConcurrentLedger<LedgerSpec> ledger(initial, 0, /*num_shards=*/0);
-    ParallelExecutor<LedgerSpec> exec(
-        ledger, {.threads = threads, .deterministic = deterministic_mode});
+    ParallelExecutor<LedgerSpec> exec(ledger, {.threads = threads});
     responses.push_back(exec.execute(batch).responses);
     finals.push_back(ledger.snapshot());
   }
@@ -246,22 +233,17 @@ void expect_thread_count_invariant(
 
 TEST(ExecDeterminism, Erc20ByteIdenticalAcrossThreads1_2_8) {
   expect_thread_count_invariant<Erc20LedgerSpec>(
-      erc20_initial(), erc20_batch(23, 400), /*deterministic_mode=*/true);
+      erc20_initial(), erc20_batch(23, 400));
 }
 
 TEST(ExecDeterminism, Erc721ByteIdenticalAcrossThreads1_2_8) {
   expect_thread_count_invariant<Erc721LedgerSpec>(
-      erc721_initial(36), erc721_batch(29, 400, 36), true);
+      erc721_initial(36), erc721_batch(29, 400, 36));
 }
 
 TEST(ExecDeterminism, Erc777ByteIdenticalAcrossThreads1_2_8) {
   expect_thread_count_invariant<Erc777LedgerSpec>(
-      erc777_initial(), erc777_batch(31, 400), true);
-}
-
-TEST(ExecDeterminism, DynamicPullingIsOutcomeDeterministicToo) {
-  expect_thread_count_invariant<Erc20LedgerSpec>(
-      erc20_initial(), erc20_batch(37, 400), /*deterministic_mode=*/false);
+      erc777_initial(), erc777_batch(31, 400));
 }
 
 TEST(ExecDeterminism, RepeatedRunsAreIdentical) {
